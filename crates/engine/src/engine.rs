@@ -467,6 +467,8 @@ impl ClusteringEngine {
             checkpoints_written: 0,
             torn_tails_truncated: 0,
             recoveries_completed: 0,
+            // Journals are per service; see `ClusterService::metrics`.
+            journal_bytes: 0,
         }
     }
 }

@@ -874,7 +874,7 @@ impl FlusherDriver {
         self.service.shard_health()
     }
 
-    /// Rebuilds a quarantined shard by replaying its event journal (see
+    /// Rebuilds a quarantined shard from its journal image and tail (see
     /// [`ClusterService::recover_shard`] for the exact semantics and the bit-identity
     /// guarantee).
     pub fn recover_shard(&mut self, id: ShardId) -> Result<RecoveryReport, ServiceError> {

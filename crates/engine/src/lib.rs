@@ -99,11 +99,6 @@
 //! For producers and the driver on separate threads, park the driver with
 //! [`FlusherDriver::run_until_closed`] and stop it with [`IngestHandle::close`] — see the
 //! [`ingest`] module docs and `examples/concurrent_ingest.rs`.
-//!
-//! Migrating from the synchronous `&mut self` surface: [`ClusterService::single_shard`] is
-//! still the drop-in successor of `ClusteringEngine::new`, the old `submit`/`flush`/`snapshot`
-//! methods remain as a deprecated shim delegating to the same internals, and the README's
-//! "Concurrent ingest" section has a call-by-call migration table.
 
 #![warn(missing_docs)]
 

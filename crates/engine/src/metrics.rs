@@ -142,6 +142,11 @@ pub struct Metrics {
     /// Crash recoveries completed at build time (checkpoint restored and/or WAL tail
     /// replayed). At most 1 per service instance; summed across merges.
     pub recoveries_completed: u64,
+    /// Bytes the shard journals hold right now: image edges plus tail entries, summed over
+    /// shards (a gauge, summed across merges). Bounded by the live edges plus the entries
+    /// routed since each shard's last re-image, not by the stream length. Zero on
+    /// single-engine metrics; set by `ClusterService::metrics`.
+    pub journal_bytes: u64,
 }
 
 impl Metrics {
@@ -198,6 +203,7 @@ impl Metrics {
             out.checkpoints_written += m.checkpoints_written;
             out.torn_tails_truncated += m.torn_tails_truncated;
             out.recoveries_completed += m.recoveries_completed;
+            out.journal_bytes += m.journal_bytes;
         }
         out
     }
@@ -357,6 +363,7 @@ mod tests {
             checkpoints_written: 3 + k,
             torn_tails_truncated: k,
             recoveries_completed: 1 + k,
+            journal_bytes: 48 * (k + 1),
         }
     }
 
@@ -412,6 +419,7 @@ mod tests {
         assert_eq!(merged.checkpoints_written, 3 + 4 + 5);
         assert_eq!(merged.torn_tails_truncated, 1 + 2);
         assert_eq!(merged.recoveries_completed, 1 + 2 + 3);
+        assert_eq!(merged.journal_bytes, 48 + 96 + 144);
     }
 
     #[test]

@@ -23,11 +23,9 @@
 //! clonable [`IngestHandle`]s push events into a bounded submission queue without ever
 //! blocking on a flush; one [`FlusherDriver`] owns the service, drains the queue, routes
 //! events, and drives flushes per the [`FlushPolicy`]; and [`ReadHandle`]s hand out
-//! epoch-pinned [`ServiceSnapshot`]s with `&self`. The pre-redesign synchronous methods
-//! (`submit`, `flush`, `snapshot`, …) remain as a deprecated migration shim delegating to the
-//! same internals.
+//! epoch-pinned [`ServiceSnapshot`]s with `&self`.
 //!
-//! Flushes exploit the shard independence: a full flush (driver- or shim-initiated) runs every
+//! Flushes exploit the shard independence: a full flush runs every
 //! dirty shard's flush *concurrently* on the workspace's work-stealing fork-join pool, joining
 //! the per-shard [`FlushReport`]s back in shard order. The parallelism is gated by
 //! [`ServiceBuilder::threads`] (default: the pool size, see [`rayon::current_num_threads`]):
@@ -216,16 +214,14 @@ impl std::error::Error for ServiceError {}
 /// When the service flushes a shard's pending buffer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Only on explicit flush calls ([`FlusherDriver::flush`], or the deprecated
-    /// [`ClusterService::flush`] shim) and the final flush of
+    /// Only on explicit flush calls ([`FlusherDriver::flush`]) and the final flush of
     /// [`FlusherDriver::run_until_closed`].
     Manual,
     /// A shard is flushed as soon as its pending buffer reaches `n` coalesced operations
     /// (checked after every routed event). `n` is clamped to at least 1.
     EveryNOps(usize),
     /// Reads observe every routed event: the [`FlusherDriver`] ends every non-empty drain
-    /// with a full flush, and the deprecated [`ClusterService::snapshot`] shim flushes before
-    /// building its view.
+    /// with a full flush.
     OnRead,
 }
 
@@ -239,8 +235,8 @@ pub enum ShardHealth {
     /// in-memory state is untrusted and the service no longer submits to or flushes it. Its
     /// last *published* snapshot (taken before the panic, so internally consistent) keeps
     /// backing the merged view, flagged stale ([`ServiceSnapshot::is_stale`]); routed events
-    /// keep accumulating in the shard's journal until
-    /// [`ClusterService::recover_shard`] rebuilds it by replay.
+    /// keep accumulating in the shard's journal tail until
+    /// [`ClusterService::recover_shard`] rebuilds it from the journal.
     Quarantined {
         /// The message of the panic that tore the shard.
         panic: String,
@@ -262,7 +258,8 @@ impl ShardHealth {
 pub struct RecoveryReport {
     /// The recovered shard.
     pub shard: ShardId,
-    /// Journaled events replayed into the rebuilt engine (accepted and rejected).
+    /// Events replayed into the rebuilt engine: the image's live edges plus the tail's
+    /// routed events (accepted and rejected). 0 when the shard was healthy.
     pub events_replayed: usize,
     /// Replay-time rejections, in routed order.
     pub rejected: Vec<ServiceError>,
@@ -270,15 +267,66 @@ pub struct RecoveryReport {
     pub epoch: u64,
 }
 
-/// One entry of a shard's replay journal: the full routed history the shard's state is a
-/// function of, in routed order.
+/// One entry of a shard journal's tail, in routed order.
 #[derive(Clone, Copy, Debug)]
-enum JournalEntry {
+pub(crate) enum JournalEntry {
     /// A routed event (validated on the healthy path; validation deferred to replay for
     /// events routed during quarantine).
     Event(GraphUpdate),
     /// A vertex-set growth by `k`.
     Grow(usize),
+}
+
+/// What one shard's state is a function of: an *image* — the vertex count and sorted live
+/// edges at the shard's last quiescent point — plus the *tail* of entries routed since. A
+/// dendrogram depends only on the live weighted edges, so re-inserting the image and
+/// replaying the tail rebuilds the shard bit for bit, in memory bounded by the live edges
+/// plus the tail rather than by the stream.
+#[derive(Clone, Debug)]
+pub(crate) struct ShardJournal {
+    pub(crate) vertices: usize,
+    pub(crate) image: Vec<(VertexId, VertexId, Weight)>,
+    pub(crate) tail: Vec<JournalEntry>,
+}
+
+impl ShardJournal {
+    pub(crate) fn new(vertices: usize, image: Vec<(VertexId, VertexId, Weight)>) -> Self {
+        ShardJournal {
+            vertices,
+            image,
+            tail: Vec::new(),
+        }
+    }
+
+    /// Bytes held by the image edges and tail entries.
+    pub(crate) fn bytes(&self) -> usize {
+        self.image.len() * std::mem::size_of::<(VertexId, VertexId, Weight)>()
+            + self.tail.len() * std::mem::size_of::<JournalEntry>()
+    }
+
+    /// Re-images the journal from `engine` once the tail has outgrown the image. Call only
+    /// after a flush of `engine` finished `Ok`: its buffer is then empty, so its applied
+    /// state is exactly image + tail. Reading and sorting m live edges costs O(m log m) and
+    /// happens only after more than m tail entries, so O(log m) amortized per entry.
+    pub(crate) fn compact_if_due(&mut self, engine: &ClusteringEngine) {
+        if self.tail.len() > self.image.len() {
+            self.vertices = engine.num_vertices();
+            self.image = live_edges(engine);
+            self.tail.clear();
+        }
+    }
+}
+
+/// An engine's live edges sorted by endpoints: a journal image, and a checkpoint's shard.
+fn live_edges(engine: &ClusteringEngine) -> Vec<(VertexId, VertexId, Weight)> {
+    let mut edges: Vec<(VertexId, VertexId, Weight)> = engine
+        .graph()
+        .graph_edges()
+        .into_iter()
+        .map(|(u, v, w, _)| (u, v, w))
+        .collect();
+    edges.sort_unstable_by_key(|e| (e.0, e.1));
+    edges
 }
 
 /// A shard flush under `catch_unwind`, classified for the retry-or-quarantine policy.
@@ -945,7 +993,7 @@ impl ServiceBuilder {
         let mut service = ClusterService {
             routed_events: vec![0; engines.len()],
             health: vec![ShardHealth::Healthy; engines.len()],
-            journals: vec![Vec::new(); engines.len()],
+            journals: vec![ShardJournal::new(n, Vec::new()); engines.len()],
             engines,
             num_shards: self.num_shards,
             router,
@@ -964,7 +1012,6 @@ impl ServiceBuilder {
             tracked_thresholds: self.tracked_thresholds,
             telemetry,
             vertices: n,
-            initial_vertices: n,
             shard_options,
             faults,
             panics_caught: 0,
@@ -1227,16 +1274,14 @@ pub struct ClusterService {
     /// Per-engine health, parallel to `engines`. A quarantined engine is never submitted to
     /// or flushed; its last published snapshot keeps backing the merged view, stale-flagged.
     health: Vec<ShardHealth>,
-    /// Per-engine replay journals, parallel to `engines`: every accepted routed event and
-    /// every vertex growth, in routed order — the source [`recover_shard`](Self::recover_shard)
-    /// rebuilds a quarantined engine from. Memory grows with the accepted stream (one small
-    /// `Copy` entry per event).
-    journals: Vec<Vec<JournalEntry>>,
+    /// Per-engine journals (image plus tail), parallel to `engines`: what every engine
+    /// rebuild starts from. Re-imaged when a flush finishes `Ok` with the tail longer than
+    /// the image; a quarantined shard never flushes, so its tail keeps everything routed
+    /// during the quarantine.
+    journals: Vec<ShardJournal>,
     /// The authoritative vertex count. Tracked at the service level because a quarantined
     /// engine skips growths (they are journaled and applied at recovery) and may lag.
     vertices: usize,
-    /// The vertex count at construction — the base a recovery replay starts from.
-    initial_vertices: usize,
     /// The per-engine options (parallel to `engines`, per-shard backend overrides resolved),
     /// kept so recovery can rebuild an engine from scratch with its exact configuration.
     shard_options: Vec<DynSldOptions>,
@@ -1515,12 +1560,12 @@ impl ClusterService {
             // The torn engine cannot validate; the event is journaled as-is and validated
             // during recovery replay, in routed order — exactly where the no-fault oracle
             // would have validated it. The service keeps accepting ingest throughout.
-            self.journals[idx].push(JournalEntry::Event(event));
+            self.journals[idx].tail.push(JournalEntry::Event(event));
         } else {
             self.engines[idx]
                 .submit(event)
                 .map_err(|e| ServiceError::from_engine(id, e))?;
-            self.journals[idx].push(JournalEntry::Event(event));
+            self.journals[idx].tail.push(JournalEntry::Event(event));
         }
         self.routed_events[idx] += 1;
         if id == ShardId::Spill {
@@ -1539,33 +1584,6 @@ impl ClusterService {
             }
         }
         Ok((id, flushed))
-    }
-
-    /// Routes one event to its home shard and buffers it there, returning the shard the event
-    /// landed on.
-    #[deprecated(
-        note = "use `ingest_handle()` + a `FlusherDriver` (see the crate-docs migration table)"
-    )]
-    pub fn submit(&mut self, event: GraphUpdate) -> Result<ShardId, ServiceError> {
-        self.buffer_event(event).map(|(id, _)| id)
-    }
-
-    /// Submits every event of a stream, stopping at the first rejection. Returns the number
-    /// of events ingested; already-ingested events stay buffered (or flushed, per policy)
-    /// either way.
-    #[deprecated(
-        note = "use `IngestHandle::submit_all` + a `FlusherDriver` (see the crate-docs migration table)"
-    )]
-    pub fn submit_all(
-        &mut self,
-        events: impl IntoIterator<Item = GraphUpdate>,
-    ) -> Result<usize, ServiceError> {
-        let mut count = 0;
-        for event in events {
-            self.buffer_event(event)?;
-            count += 1;
-        }
-        Ok(count)
     }
 
     /// Rebuilds the cached merged view iff some shard published a new state since the last
@@ -1628,27 +1646,36 @@ impl ClusterService {
     /// injected entry-mode panic is retried once (nothing was consumed, so the retry sees
     /// the identical buffer); anything else tears the engine and quarantines it, turning the
     /// shard's contribution into a stale no-op report instead of an error — the service
-    /// keeps flushing its other shards and serving reads.
+    /// keeps flushing its other shards and serving reads. A flush that finishes `Ok` leaves
+    /// the shard quiescent, the one point where its journal may be re-imaged.
     fn resolve_flush_outcome(
         &mut self,
         idx: usize,
         outcome: CaughtFlush,
     ) -> Result<FlushReport, EngineError> {
-        match outcome {
-            CaughtFlush::Skipped => Ok(self.stale_noop_report(idx)),
-            CaughtFlush::Completed(result) => result,
-            CaughtFlush::Panicked { message, retriable } => {
-                self.panics_caught += 1;
-                if retriable {
-                    if let CaughtFlush::Completed(result) = flush_catching(&mut self.engines[idx]) {
-                        return result;
-                    }
+        let result = 'flushed: {
+            match outcome {
+                CaughtFlush::Skipped => return Ok(self.stale_noop_report(idx)),
+                CaughtFlush::Completed(result) => result,
+                CaughtFlush::Panicked { message, retriable } => {
                     self.panics_caught += 1;
+                    if retriable {
+                        if let CaughtFlush::Completed(result) =
+                            flush_catching(&mut self.engines[idx])
+                        {
+                            break 'flushed result;
+                        }
+                        self.panics_caught += 1;
+                    }
+                    self.quarantine(idx, message);
+                    return Ok(self.stale_noop_report(idx));
                 }
-                self.quarantine(idx, message);
-                Ok(self.stale_noop_report(idx))
             }
+        };
+        if result.is_ok() {
+            self.journals[idx].compact_if_due(&self.engines[idx]);
         }
+        result
     }
 
     pub(crate) fn flush_shard_direct(&mut self, id: ShardId) -> Result<FlushReport, ServiceError> {
@@ -1665,12 +1692,6 @@ impl ClusterService {
         // views must track whatever per-shard states actually exist.
         self.refresh_published();
         result
-    }
-
-    /// Flushes one shard's pending buffer, advancing its epoch (no-op when empty).
-    #[deprecated(note = "use `FlusherDriver::flush` (see the crate-docs migration table)")]
-    pub fn flush_shard(&mut self, id: ShardId) -> Result<FlushReport, ServiceError> {
-        self.flush_shard_direct(id)
     }
 
     /// Flushes every shard's pending buffer and reports what each did, in shard order (routed
@@ -1752,28 +1773,6 @@ impl ClusterService {
         }
     }
 
-    /// Flushes every shard's pending buffer and reports what each did.
-    #[deprecated(note = "use `FlusherDriver::flush` (see the crate-docs migration table)")]
-    pub fn flush(&mut self) -> Result<ServiceFlushReport, ServiceError> {
-        self.flush_direct()
-    }
-
-    pub(crate) fn snapshot_direct(&mut self) -> Result<ServiceSnapshot, ServiceError> {
-        if self.policy == FlushPolicy::OnRead && self.pending_ops() > 0 {
-            self.flush_direct()?;
-        }
-        Ok(self.published())
-    }
-
-    /// The service's merged read view; under [`FlushPolicy::OnRead`], pending buffers are
-    /// flushed first.
-    #[deprecated(
-        note = "use `read_handle()` (or `published()` for the last published view) — see the crate-docs migration table"
-    )]
-    pub fn snapshot(&mut self) -> Result<ServiceSnapshot, ServiceError> {
-        self.snapshot_direct()
-    }
-
     /// The last *published* merged view, without flushing anything — one `Arc` clone, `&self`,
     /// and safe to call concurrently with a reader holding older snapshots. Repeated reads at
     /// the same epoch vector share the same merged-clustering cache. Queued or buffered events
@@ -1809,7 +1808,7 @@ impl ClusterService {
             if !self.health[idx].is_quarantined() {
                 engine.add_vertices(k);
             }
-            self.journals[idx].push(JournalEntry::Grow(k));
+            self.journals[idx].tail.push(JournalEntry::Grow(k));
         }
         if let Router::Stateful { table, .. } = &mut self.router {
             table.grow(k);
@@ -1818,37 +1817,30 @@ impl ClusterService {
         first
     }
 
-    /// Rebuilds a quarantined shard from scratch and replays its event journal.
-    ///
-    /// The replacement engine starts from the service's initial vertex count and options,
-    /// then re-applies the shard's entire routed history — every accepted event and every
-    /// vertex-set growth, in original order — and flushes once. Events the original engine
-    /// rejected (and events submitted *after* the quarantine, which were journaled
-    /// unvalidated) are validated during replay; rejections are collected into
-    /// [`RecoveryReport::rejected`] rather than aborting the rebuild. The result is
-    /// bit-identical to a shard that never panicked, because coalescing is
-    /// flush-boundary-independent and the dendrogram is a pure function of the accepted
-    /// event sequence.
-    ///
-    /// Calling this on a healthy shard is a no-op (`events_replayed == 0`). The recovered
-    /// engine is *not* re-armed with the service's fault plan — recovery is the exit from
-    /// the fault experiment, not another round of it.
-    pub fn recover_shard(&mut self, id: ShardId) -> Result<RecoveryReport, ServiceError> {
-        let idx = self.index_of(id);
-        if !self.health[idx].is_quarantined() {
-            return Ok(RecoveryReport {
-                shard: id,
-                events_replayed: 0,
-                rejected: Vec::new(),
-                epoch: self.engines[idx].epoch(),
-            });
-        }
-        let mut engine =
-            ClusteringEngine::with_options(self.initial_vertices, self.shard_options[idx]);
+    /// Builds a fresh engine for shard `idx` — the image's vertex count and edges, then the
+    /// tail in routed order, then one flush — and installs it as healthy: the one rebuild
+    /// path, behind both [`recover_shard`](Self::recover_shard) and checkpoint restore.
+    /// Returns the events replayed and the tail events rejected. A rejected image edge means
+    /// a corrupt image and fails the rebuild, leaving the shard as it was. The new engine is
+    /// not armed with the fault plan: recovery ends the fault experiment.
+    fn rebuild(&mut self, idx: usize) -> Result<(usize, Vec<ServiceError>), ServiceError> {
+        let id = self.id_of(idx);
+        let journal = &self.journals[idx];
+        let mut engine = ClusteringEngine::with_options(journal.vertices, self.shard_options[idx]);
         engine.set_telemetry(self.telemetry.clone());
-        let mut events_replayed = 0;
+        for &(u, v, weight) in &journal.image {
+            engine
+                .submit(GraphUpdate::Insert { u, v, weight })
+                .map_err(|e| ServiceError::Durability {
+                    detail: format!(
+                        "image edge rejected during rebuild: {}",
+                        ServiceError::from_engine(id, e)
+                    ),
+                })?;
+        }
+        let mut events_replayed = journal.image.len();
         let mut rejected = Vec::new();
-        for entry in &self.journals[idx] {
+        for entry in &journal.tail {
             match *entry {
                 JournalEntry::Event(event) => {
                     events_replayed += 1;
@@ -1866,16 +1858,35 @@ impl ClusterService {
                 .flush()
                 .map_err(|e| ServiceError::from_engine(id, e))?;
         }
-        let epoch = engine.epoch();
         self.engines[idx] = engine;
         self.health[idx] = ShardHealth::Healthy;
-        self.recoveries += 1;
-        self.refresh_published();
+        Ok((events_replayed, rejected))
+    }
+
+    /// Rebuilds a quarantined shard from its journal: the image of its live edges, then the
+    /// tail of events and vertex growths routed since, in order, then one flush. Events
+    /// routed during the quarantine were journaled unvalidated; replay validates them and
+    /// collects rejections into [`RecoveryReport::rejected`] instead of aborting. The result
+    /// is bit-identical to a shard that never panicked: the dendrogram is a pure function of
+    /// the live weighted edge set, and coalescing does not depend on flush boundaries.
+    ///
+    /// On a healthy shard this is a no-op (`events_replayed == 0`). The recovered engine is
+    /// *not* re-armed with the service's fault plan.
+    pub fn recover_shard(&mut self, id: ShardId) -> Result<RecoveryReport, ServiceError> {
+        let idx = self.index_of(id);
+        let (events_replayed, rejected) = if self.health[idx].is_quarantined() {
+            let replay = self.rebuild(idx)?;
+            self.recoveries += 1;
+            self.refresh_published();
+            replay
+        } else {
+            (0, Vec::new())
+        };
         Ok(RecoveryReport {
             shard: id,
             events_replayed,
             rejected,
-            epoch,
+            epoch: self.engines[idx].epoch(),
         })
     }
 
@@ -1967,12 +1978,11 @@ impl ClusterService {
         Ok(())
     }
 
-    /// Replaces the fresh engines with ones rebuilt from `ckpt`: each shard's live edge
-    /// set is re-inserted in sorted order (the clustering is a pure function of the live
-    /// weighted edge set under the engine's total tie-breaking order, so this reproduces
-    /// labels and member lists bit-identically), the router's [`AssignmentTable`] is
-    /// restored, journals are seeded so a later [`recover_shard`](Self::recover_shard)
-    /// still replays a complete history, and the restored view is published at
+    /// Replaces the fresh engines with ones rebuilt from `ckpt`: each shard's journal is
+    /// seeded with the checkpointed live edge set as its image and an empty tail, and
+    /// [`rebuild`](Self::rebuild) re-inserts it (the clustering is a pure function of the
+    /// live weighted edge set, so this reproduces labels and member lists bit-identically).
+    /// The router's [`AssignmentTable`] is restored, and the restored view is published at
     /// `ckpt.revision + 1` — past the crashed process's revision, so cached validators
     /// held by pre-crash subscribers never match.
     fn restore_from_checkpoint(&mut self, ckpt: &Checkpoint) -> Result<(), ServiceError> {
@@ -2028,42 +2038,19 @@ impl ClusterService {
             (Router::Pure(_), None) => {}
         }
         self.vertices = n;
-        self.initial_vertices = n;
-        for idx in 0..self.engines.len() {
-            let id = self.id_of(idx);
-            let mut engine = ClusteringEngine::with_options(n, self.shard_options[idx]);
-            engine.set_telemetry(self.telemetry.clone());
-            let mut journal = Vec::with_capacity(ckpt.shards[idx].edges.len());
-            for &(u, v, weight) in &ckpt.shards[idx].edges {
-                let event = GraphUpdate::Insert { u, v, weight };
-                engine.submit(event).map_err(|e| {
-                    mismatch(format!(
-                        "checkpoint edge rejected during restore: {}",
-                        ServiceError::from_engine(id, e)
-                    ))
-                })?;
-                journal.push(JournalEntry::Event(event));
-            }
-            if engine.pending_ops() > 0 {
-                engine
-                    .flush()
-                    .map_err(|e| ServiceError::from_engine(id, e))?;
-            }
-            self.engines[idx] = engine;
-            self.journals[idx] = journal;
-            self.health[idx] = ShardHealth::Healthy;
-        }
-        // Routing counters restart from the restored live-edge stream (deleted pre-crash
-        // edges are gone from the checkpoint, so lifetime counts are not reconstructible).
-        for idx in 0..self.journals.len() {
-            self.routed_events[idx] = self.journals[idx].len() as u64;
+        for (idx, shard) in ckpt.shards.iter().enumerate() {
+            self.journals[idx] = ShardJournal::new(n, shard.edges.clone());
+            self.rebuild(idx)?;
+            // Routing counters restart from the restored live-edge stream (deleted pre-crash
+            // edges are gone from the checkpoint, so lifetime counts are not reconstructible).
+            self.routed_events[idx] = shard.edges.len() as u64;
         }
         self.spill_events = if self.has_spill_shard() {
-            self.journals[self.num_shards].len() as u64
+            self.routed_events[self.num_shards]
         } else {
             0
         };
-        self.edge_inserts_routed = self.journals.iter().map(|j| j.len() as u64).sum();
+        self.edge_inserts_routed = self.routed_events.iter().sum();
         self.edge_inserts_cut = self.spill_events;
         let snapshot = ServiceSnapshot::merge(
             self.engines
@@ -2180,15 +2167,8 @@ impl ClusterService {
         let shards = self
             .engines
             .iter()
-            .map(|engine| {
-                let mut edges: Vec<(VertexId, VertexId, Weight)> = engine
-                    .graph()
-                    .graph_edges()
-                    .into_iter()
-                    .map(|(u, v, w, _)| (u, v, w))
-                    .collect();
-                edges.sort_by_key(|e| (e.0, e.1));
-                ShardCheckpoint { edges }
+            .map(|engine| ShardCheckpoint {
+                edges: live_edges(engine),
             })
             .collect();
         Checkpoint {
@@ -2234,6 +2214,7 @@ impl ClusterService {
         merged.shard_recoveries = self.recoveries;
         merged.wire_timeouts = serve.wire_timeouts.load(Ordering::Relaxed);
         merged.stale_reads_served = serve.stale_reads_served.load(Ordering::Relaxed);
+        merged.journal_bytes = self.journals.iter().map(ShardJournal::bytes).sum::<usize>() as u64;
         if let Some(d) = &self.durable {
             merged.wal_records_appended = d.wal.records_appended();
             merged.wal_bytes_written = d.wal.bytes_written();
@@ -2474,6 +2455,15 @@ mod tests {
             count += 1;
         }
         Ok(count)
+    }
+
+    /// The merged read view; under [`FlushPolicy::OnRead`], pending buffers are flushed
+    /// first.
+    fn snapshot(svc: &mut ClusterService) -> Result<ServiceSnapshot, ServiceError> {
+        if svc.policy == FlushPolicy::OnRead && svc.pending_ops() > 0 {
+            svc.flush_direct()?;
+        }
+        Ok(svc.published())
     }
 
     /// Blocks of 4 vertices per shard so routing is easy to reason about in tests.
@@ -2719,7 +2709,7 @@ mod tests {
         assert_eq!(svc.epochs(), vec![1, 1, 1]);
         assert_eq!(svc.shard(ShardId::Spill).num_vertices(), 8);
 
-        let snap = svc.snapshot_direct().unwrap();
+        let snap = snapshot(&mut svc).unwrap();
         assert_eq!(snap.num_graph_edges(), 3);
         // 0-1 and 4-5 live in different shards but 1-4 (spill) glues them together.
         assert!(snap.same_cluster(v(0), v(5), 2.0));
@@ -2741,26 +2731,10 @@ mod tests {
         let report = svc.flush_direct().unwrap();
         // No spill shard: nothing can spill, per flush either.
         assert_eq!(report.spill_routing_share(), 0.0);
-        let snap = svc.snapshot_direct().unwrap();
+        let snap = snapshot(&mut svc).unwrap();
         assert_eq!(snap.epochs(), vec![1]);
         assert!(snap.same_cluster(v(0), v(3), 1.0));
         assert_eq!(snap.num_components(), 3);
-    }
-
-    #[test]
-    fn deprecated_shim_still_drives_the_service() {
-        // The migration path: old callers keep compiling (with a deprecation warning) and
-        // get identical behaviour, because the shim delegates to the same internals the
-        // driver uses.
-        #![allow(deprecated)]
-        let mut svc = blocked(2, 8, FlushPolicy::Manual);
-        assert_eq!(svc.submit(ins(0, 1, 1.0)).unwrap(), ShardId::Routed(0));
-        assert_eq!(svc.submit_all([ins(4, 5, 1.0), ins(1, 4, 2.0)]).unwrap(), 2);
-        let report = svc.flush().unwrap();
-        assert_eq!(report.ops_applied(), 3);
-        let snap = svc.snapshot().unwrap();
-        assert!(snap.same_cluster(v(0), v(5), 2.0));
-        svc.flush_shard(ShardId::Spill).unwrap();
     }
 
     #[test]
@@ -2815,7 +2789,7 @@ mod tests {
         // `published` is a pure read: nothing flushed yet.
         assert_eq!(svc.published().num_graph_edges(), 0);
         // `snapshot` honours OnRead: flush, then read.
-        let snap = svc.snapshot_direct().unwrap();
+        let snap = snapshot(&mut svc).unwrap();
         assert_eq!(snap.num_graph_edges(), 2);
         assert!(snap.same_cluster(v(0), v(4), 1.5));
         assert_eq!(svc.pending_ops(), 0);
@@ -2826,12 +2800,12 @@ mod tests {
         let mut svc = blocked(2, 8, FlushPolicy::Manual);
         submit(&mut svc, ins(0, 4, 1.0)).unwrap();
         svc.flush_direct().unwrap();
-        let old = svc.snapshot_direct().unwrap();
+        let old = snapshot(&mut svc).unwrap();
         assert!(old.same_cluster(v(0), v(4), 1.0));
 
         submit(&mut svc, del(0, 4)).unwrap();
         svc.flush_direct().unwrap();
-        let new = svc.snapshot_direct().unwrap();
+        let new = snapshot(&mut svc).unwrap();
         assert!(!new.same_cluster(v(0), v(4), f64::INFINITY));
         // The held view keeps answering for its epoch vector.
         assert!(old.same_cluster(v(0), v(4), 1.0));
@@ -2846,14 +2820,14 @@ mod tests {
         let mut svc = blocked(2, 8, FlushPolicy::Manual);
         submit_all(&mut svc, [ins(0, 1, 1.0), ins(4, 5, 1.0), ins(1, 4, 2.0)]).unwrap();
         svc.flush_direct().unwrap();
-        let snap = svc.snapshot_direct().unwrap();
+        let snap = snapshot(&mut svc).unwrap();
         let a = snap.flat_clustering(2.0);
         let b = snap.flat_clustering(2.0);
         assert!(Arc::ptr_eq(&a, &b), "merged clusterings must be memoised");
         // Separate reads at the same epoch vector share one merged cache, even across no-op
         // flushes.
         svc.flush_direct().unwrap();
-        let c = svc.snapshot_direct().unwrap().flat_clustering(2.0);
+        let c = snapshot(&mut svc).unwrap().flat_clustering(2.0);
         assert!(
             Arc::ptr_eq(&a, &c),
             "repeated reads at one epoch vector must share the merged cache"
@@ -2875,13 +2849,13 @@ mod tests {
         for id in svc.shard_ids() {
             assert_eq!(svc.shard(id).num_vertices(), 10);
         }
-        let snap = svc.snapshot_direct().unwrap();
+        let snap = snapshot(&mut svc).unwrap();
         assert_eq!(snap.num_vertices(), 10);
         assert_eq!(snap.num_components(), 9); // 10 vertices, one merged pair
                                               // New vertices accept edges right away.
         submit(&mut svc, ins(8, 9, 1.0)).unwrap();
         svc.flush_direct().unwrap();
-        assert!(svc.snapshot_direct().unwrap().same_cluster(v(8), v(9), 1.0));
+        assert!(snapshot(&mut svc).unwrap().same_cluster(v(8), v(9), 1.0));
     }
 
     #[test]
@@ -3333,10 +3307,7 @@ mod tests {
         }
         assert_eq!(seq.epochs(), par.epochs());
         // ...and identical merged views.
-        let (a, b) = (
-            seq.snapshot_direct().unwrap(),
-            par.snapshot_direct().unwrap(),
-        );
+        let (a, b) = (snapshot(&mut seq).unwrap(), snapshot(&mut par).unwrap());
         assert_eq!(a.num_graph_edges(), b.num_graph_edges());
         for tau in [1.5, 3.5, 6.0, f64::INFINITY] {
             assert_eq!(
@@ -3462,6 +3433,81 @@ mod tests {
         oracle.add_vertices(2);
         oracle.flush_direct().unwrap();
         assert_views_identical(&svc.published(), &oracle.published());
+    }
+
+    #[test]
+    fn journals_stay_bounded_and_a_late_tear_recovers_bit_identically() {
+        // 20 000 churn events over 24 vertices, around 48 live edges: a journal of every
+        // routed event would outgrow the bound below about a hundredfold.
+        let n = 24;
+        let stream = dynsld_forest::workload::GraphWorkloadBuilder::new(n)
+            .weight_scale(8.0)
+            .churn_stream(2 * n, 20_000, 5);
+        let (batch, engines) = (8, 3);
+        let build = |faults: FaultPlan| {
+            ServiceBuilder::new()
+                .vertices(n)
+                .shards(2)
+                .partitioner(crate::partition::HashPartitioner)
+                .flush_policy(FlushPolicy::EveryNOps(batch))
+                .faults(faults)
+                .build()
+                .map(FlusherDriver::new)
+                .expect("valid test configuration")
+        };
+        let entry = std::mem::size_of::<JournalEntry>();
+        let mut peak_live = 0;
+        let mut within_bound = |driver: &FlusherDriver| {
+            let svc = driver.service();
+            peak_live = peak_live.max(svc.published().num_graph_edges());
+            let bytes = svc.metrics().journal_bytes as usize;
+            let bound = 2 * entry * (peak_live + batch * engines);
+            assert!(bytes <= bound, "journal {bytes} B over bound {bound} B");
+        };
+        let feed = |driver: &mut FlusherDriver, chunk: &[GraphUpdate]| {
+            let ingest = driver.service().ingest_handle();
+            ingest
+                .submit_all(chunk.iter().copied())
+                .expect("queue open");
+            driver.pump().expect("valid stream");
+        };
+
+        let mut oracle = build(FaultPlan::disabled());
+        for chunk in stream.chunks(100) {
+            feed(&mut oracle, chunk);
+            within_bound(&oracle);
+        }
+        // Tear shard 0 on one of its last flushes, long after its journal was re-imaged.
+        let late = oracle.service().shard_metrics(ShardId::Routed(0)).flushes * 9 / 10;
+        let spec = format!("flush_panic=shard:0,flush:{late}");
+        let mut faulted = build(FaultPlan::parse(&spec).expect("valid fault spec"));
+        for chunk in stream.chunks(100) {
+            feed(&mut faulted, chunk);
+            if !faulted.service().published().is_stale() {
+                within_bound(&faulted);
+            }
+        }
+        let stale = faulted.service().published().stale_shards();
+        assert_eq!(stale, vec![ShardId::Routed(0)]);
+        let journal = &faulted.service().journals[0];
+        assert!(!journal.image.is_empty(), "the tear came after a re-image");
+        let tail_events = journal
+            .tail
+            .iter()
+            .filter(|e| matches!(e, JournalEntry::Event(_)))
+            .count();
+        let replay = journal.image.len() + tail_events;
+
+        let report = faulted.recover_shard(ShardId::Routed(0)).expect("rebuild");
+        assert!(report.rejected.is_empty(), "the stream was valid");
+        assert_eq!(report.events_replayed, replay);
+        faulted.flush().expect("flush");
+        oracle.flush().expect("flush");
+        within_bound(&faulted);
+        assert_views_identical(
+            &faulted.service().published(),
+            &oracle.service().published(),
+        );
     }
 
     #[test]

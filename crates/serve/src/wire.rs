@@ -146,7 +146,8 @@ impl Default for ServerOptions {
 /// the service's published state via a [`ReadHandle`].
 ///
 /// One accept thread plus one short-lived thread per connection (every exchange is
-/// `Connection: close`). [`DeltaServer::shutdown`] stops accepting, joins all handlers, and
+/// `Connection: close`); finished handler threads are joined as new connections arrive.
+/// [`DeltaServer::shutdown`] stops accepting, joins the handlers still in flight, and
 /// returns; dropping the server does the same.
 pub struct DeltaServer {
     addr: SocketAddr,
@@ -194,6 +195,16 @@ impl DeltaServer {
                 if matches!(fault, Some(WireFault::Drop)) {
                     drop(stream);
                     continue;
+                }
+                // Join finished handlers before spawning another: an unjoined thread keeps
+                // its stack mapped, and one per connection would exhaust the process's
+                // memory-map limit. Shutdown joins the ones still in flight.
+                let (finished, running): (Vec<_>, Vec<_>) = handlers
+                    .into_iter()
+                    .partition(std::thread::JoinHandle::is_finished);
+                handlers = running;
+                for handler in finished {
+                    let _ = handler.join();
                 }
                 let read = read.clone();
                 let telemetry = telemetry.clone();
