@@ -1211,10 +1211,8 @@ pub struct ClusterService {
     /// Per-engine health, parallel to `engines`. A quarantined engine is never submitted to
     /// or flushed; its last published snapshot keeps backing the merged view, stale-flagged.
     health: Vec<ShardHealth>,
-    /// Per-engine journals (image plus tail), parallel to `engines`: what every engine
-    /// rebuild starts from. Re-imaged when a flush finishes `Ok` with the tail longer than
-    /// the image; a quarantined shard never flushes, so its tail keeps everything routed
-    /// during the quarantine.
+    /// Per-engine journals, parallel to `engines`: what every engine rebuild starts from. A
+    /// quarantined shard never re-images, so its tail keeps everything routed meanwhile.
     journals: Vec<ShardJournal>,
     /// The authoritative vertex count. Tracked at the service level because a quarantined
     /// engine skips growths (they are journaled and applied at recovery) and may lag.
@@ -1493,17 +1491,15 @@ impl ClusterService {
                 .record_duration("service.route_ns", start.elapsed());
         }
         let idx = self.index_of(id);
-        if self.health[idx].is_quarantined() {
-            // The torn engine cannot validate; the event is journaled as-is and validated
-            // during recovery replay, in routed order — exactly where the no-fault oracle
-            // would have validated it. The service keeps accepting ingest throughout.
-            self.journals[idx].tail.push(JournalEntry::Event(event));
-        } else {
+        // A torn (quarantined) engine cannot validate; its events are journaled as-is and
+        // validated during recovery replay, in routed order — exactly where the no-fault
+        // oracle would have validated them. The service keeps accepting ingest throughout.
+        if !self.health[idx].is_quarantined() {
             self.engines[idx]
                 .submit(event)
                 .map_err(|e| ServiceError::from_engine(id, e))?;
-            self.journals[idx].tail.push(JournalEntry::Event(event));
         }
+        self.journals[idx].tail.push(JournalEntry::Event(event));
         self.routed_events[idx] += 1;
         if id == ShardId::Spill {
             self.spill_events += 1;
@@ -1583,8 +1579,8 @@ impl ClusterService {
     /// injected entry-mode panic is retried once (nothing was consumed, so the retry sees
     /// the identical buffer); anything else tears the engine and quarantines it, turning the
     /// shard's contribution into a stale no-op report instead of an error — the service
-    /// keeps flushing its other shards and serving reads. A flush that finishes `Ok` leaves
-    /// the shard quiescent, the one point where its journal may be re-imaged.
+    /// keeps flushing its other shards and serving reads. A flush that finishes `Ok` may
+    /// re-image the shard's journal.
     fn resolve_flush_outcome(
         &mut self,
         idx: usize,
