@@ -39,41 +39,22 @@ pub enum UpdateStrategy {
     ParallelOutputSensitive,
 }
 
-/// Which dynamic-forest backend the graph layer (`dynsld-msf`) uses for replacement-edge
-/// search when a tree edge is deleted.
+/// The replacement-edge search the graph layer (`dynsld-msf`) runs when a tree edge is
+/// deleted. There is one: [`ForestBackend::Scan`].
 ///
-/// `DynSld` itself does not consult this option — it is carried here so one options value
-/// configures the whole stack (engine shards, journal-replay recovery, and the test suite's
-/// env-selected runs all construct through [`DynSldOptions`]). Both backends produce
-/// bit-identical MSF changes, dendrograms, and clusterings; they differ only in how much
-/// work a deletion's replacement search performs.
+/// `DynSld` itself does not consult this option. The enum and
+/// [`DynSldOptions::msf_backend`] stay only because the frozen benchmark harness
+/// (`ledger/`) names them; removing them waits for a change to that harness.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ForestBackend {
     /// Scan the non-tree edges incident to the smaller side of the cut:
-    /// `O(min-side non-tree degree · log n)` per tree-edge deletion. The default.
+    /// `O(min-side non-tree degree · log n)` per tree-edge deletion.
     #[default]
     Scan,
-    /// Holm–de Lichtenberg–Thorup-style level structure: edges carry levels and the search
-    /// amortizes candidate examinations over level promotions, examining only the candidates
-    /// stored at the levels the cut actually touches.
-    Hdt,
-}
-
-impl ForestBackend {
-    /// The backend selected by the `DYNSLD_MSF_BACKEND` environment variable (`scan` |
-    /// `hdt`, case-insensitive), or [`ForestBackend::Scan`] when unset or unrecognised.
-    /// [`DynSldOptions::default`] uses this, so the whole stack — engines, recovery
-    /// rebuilds, tests — flips backend under `DYNSLD_MSF_BACKEND=hdt`.
-    pub fn from_env() -> Self {
-        match std::env::var("DYNSLD_MSF_BACKEND") {
-            Ok(s) if s.eq_ignore_ascii_case("hdt") => ForestBackend::Hdt,
-            _ => ForestBackend::Scan,
-        }
-    }
 }
 
 /// Construction-time options for [`DynSld`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct DynSldOptions {
     /// Default algorithm used by [`DynSld::insert`] / [`DynSld::delete`].
     pub strategy: UpdateStrategy,
@@ -81,20 +62,9 @@ pub struct DynSldOptions {
     /// update algorithms and by the `O(log n)` cluster-size query; costs `O(log n)` extra per
     /// structural change.
     pub maintain_spine_index: bool,
-    /// Replacement-search backend used by the graph layer (`dynsld-msf`); ignored by
-    /// forest-level `DynSld` usage. Defaults to `DYNSLD_MSF_BACKEND` (see
-    /// [`ForestBackend::from_env`]).
+    /// Replacement-search backend of the graph layer; always [`ForestBackend::Scan`]. Kept
+    /// because the frozen benchmark harness (`ledger/`) sets it.
     pub msf_backend: ForestBackend,
-}
-
-impl Default for DynSldOptions {
-    fn default() -> Self {
-        DynSldOptions {
-            strategy: UpdateStrategy::Sequential,
-            maintain_spine_index: false,
-            msf_backend: ForestBackend::from_env(),
-        }
-    }
 }
 
 impl DynSldOptions {

@@ -29,7 +29,7 @@
 //! Both structures implement the [`traits`] capability family — [`DynamicForest`] for
 //! link/cut/connectivity, [`PathOps`] (link-cut tree) for path aggregates, and
 //! [`ComponentOps`] (Euler-tour forest) for component queries — so downstream code can be
-//! generic over the forest backend (see the `ForestBackend` policy in `dynsld-msf`).
+//! generic over the dynamic-tree structure it runs on.
 
 pub mod euler;
 pub mod lct;

@@ -18,9 +18,8 @@
 //!   iteration, the operations replacement-edge search and cluster reporting need.
 //!   Provided by the Euler-tour forest.
 //!
-//! [`ExpandableForest`] adds uniform construction/growth so generic containers (e.g. the
-//! level structure of the HDT-style MSF backend in `dynsld-msf`) can own a dynamically
-//! sized family of forests behind a type parameter.
+//! [`ExpandableForest`] adds uniform construction/growth so a generic container can own a
+//! dynamically sized family of forests behind a type parameter.
 
 use crate::euler::EulerTourForest;
 use crate::lct::{LctNodeId, LinkCutTree};

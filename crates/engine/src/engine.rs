@@ -67,10 +67,9 @@ pub struct FlushPhases {
     /// Kruskal-style batch classification (forest-vs-cycle on insert, tree/non-tree split
     /// plus replacement-candidate search on delete).
     pub classify: Duration,
-    /// The portion of [`classify`](Self::classify) spent in the forest backend's replacement
-    /// search on deletion batches — a *child* of the classify phase, not an additional one,
-    /// so it is excluded from [`total`](Self::total). This is the slice that
-    /// `DynSldOptions::msf_backend` changes; see `msf.replacement_ns` in the telemetry.
+    /// The portion of [`classify`](Self::classify) spent in the replacement search on
+    /// deletion batches — a *child* of the classify phase, not an additional one, so it is
+    /// excluded from [`total`](Self::total); see `msf.replacement_ns` in the telemetry.
     pub replacement: Duration,
     /// Mutating the MSF/dendrogram: `batch_insert`/`batch_delete`, fallbacks, promotions.
     pub apply: Duration,
@@ -132,7 +131,6 @@ struct Counters {
     fallback_ops: u64,
     edges_promoted: u64,
     replacement_edges_scanned: u64,
-    level_promotions: u64,
     replacement_searches: u64,
     total_flush_time: Duration,
     max_flush_time: Duration,
@@ -351,7 +349,7 @@ impl ClusteringEngine {
                 .record_duration("engine.coalesce_ns", phases.coalesce);
             self.telemetry
                 .record_duration("engine.classify_ns", phases.classify);
-            // Child of classify: the forest backend's replacement-search slice.
+            // Child of classify: the replacement-search slice.
             self.telemetry
                 .record_duration("msf.replacement_ns", phases.replacement);
             self.telemetry
@@ -370,7 +368,6 @@ impl ClusteringEngine {
         self.counters.edges_promoted += promoted.len() as u64;
         let work = self.graph.take_work_counters();
         self.counters.replacement_edges_scanned += work.replacement_edges_scanned;
-        self.counters.level_promotions += work.level_promotions;
         self.counters.replacement_searches += work.replacement_searches;
         self.counters.total_flush_time += duration;
         self.counters.max_flush_time = self.counters.max_flush_time.max(duration);
@@ -440,7 +437,7 @@ impl ClusteringEngine {
             fallback_ops: self.counters.fallback_ops,
             edges_promoted: self.counters.edges_promoted,
             replacement_edges_scanned: self.counters.replacement_edges_scanned,
-            level_promotions: self.counters.level_promotions,
+            level_promotions: 0,
             replacement_searches: self.counters.replacement_searches,
             total_pointer_changes: self.graph.sld().stats().total_pointer_changes,
             total_flush_time: self.counters.total_flush_time,
@@ -690,7 +687,7 @@ mod tests {
         assert!(report.phases.publish > Duration::ZERO);
         assert!(report.phases.total() <= report.duration);
         // Deleting a tree edge exercises the classify (replacement search) phase too; the
-        // backend's search slice is reported as a child of classify, never exceeding it.
+        // search slice is reported as a child of classify, never exceeding it.
         engine.submit(del(0, 1)).unwrap();
         let report = engine.flush().unwrap();
         assert!(report.phases.classify > Duration::ZERO);
@@ -718,34 +715,24 @@ mod tests {
 
     #[test]
     fn metrics_surface_forest_backend_work_counters() {
-        for backend in [dynsld::ForestBackend::Scan, dynsld::ForestBackend::Hdt] {
-            let mut engine = ClusteringEngine::with_options(
-                8,
-                DynSldOptions {
-                    msf_backend: backend,
-                    ..Default::default()
-                },
-            );
-            engine
-                .submit_all([
-                    ins(0, 1, 1.0),
-                    ins(1, 2, 2.0),
-                    ins(0, 2, 9.0), // reserve edge bridging the 0-1 cut
-                ])
-                .unwrap();
-            engine.flush().unwrap();
-            engine.submit(del(0, 1)).unwrap();
-            engine.flush().unwrap();
-            let m = engine.metrics();
-            assert!(
-                m.replacement_searches >= 1,
-                "{backend:?}: tree deletion runs a search"
-            );
-            assert!(
-                m.replacement_edges_scanned >= 1,
-                "{backend:?}: the bridging candidate is examined"
-            );
-        }
+        let mut engine = ClusteringEngine::new(8);
+        engine
+            .submit_all([
+                ins(0, 1, 1.0),
+                ins(1, 2, 2.0),
+                ins(0, 2, 9.0), // reserve edge bridging the 0-1 cut
+            ])
+            .unwrap();
+        engine.flush().unwrap();
+        engine.submit(del(0, 1)).unwrap();
+        engine.flush().unwrap();
+        let m = engine.metrics();
+        assert!(m.replacement_searches >= 1, "tree deletion runs a search");
+        assert!(
+            m.replacement_edges_scanned >= 1,
+            "the bridging candidate is examined"
+        );
+        assert_eq!(m.level_promotions, 0, "no search promotes levels");
     }
 
     #[test]

@@ -71,18 +71,14 @@ pub struct Metrics {
     pub fallback_ops: u64,
     /// Reserve edges promoted into the MSF by deletion batches.
     pub edges_promoted: u64,
-    /// Replacement candidates the forest backend examined while repairing deleted tree
-    /// edges (scan backend: reserve entries visited; HDT backend: candidates gathered at the
-    /// levels a search touched). The head-to-head work metric of
-    /// `DynSldOptions::msf_backend` — both backends produce identical results while scanning
-    /// very different candidate counts.
+    /// Reserve entries the replacement search examined while repairing deleted tree edges:
+    /// the non-tree edges incident to the smaller side of each cut.
     pub replacement_edges_scanned: u64,
-    /// Non-tree edges the HDT forest backend moved one level up (always zero on the scan
-    /// backend). Promotions are the amortization currency of the level structure: each one
-    /// pays for a candidate examination that later searches no longer repeat.
+    /// Always 0. It counted level promotions of a level-structured replacement search that
+    /// has been removed; the field stays because the frozen benchmark harness (`ledger/`)
+    /// reads it, and goes with the next change to that harness.
     pub level_promotions: u64,
-    /// Replacement searches the forest backend ran (one per tree-edge deletion, plus one per
-    /// insertion-eviction on the HDT backend, which replays evictions through the search).
+    /// Replacement searches run (one per deleted tree edge).
     pub replacement_searches: u64,
     /// Dendrogram parent-pointer changes since construction (sum of the paper's `c` over all
     /// updates), read from [`dynsld::UpdateStats`].
@@ -390,7 +386,7 @@ mod tests {
         assert_eq!(merged.fast_path_ops, 75 + 76 + 77);
         assert_eq!(merged.fallback_ops, 25 + 26 + 27);
         assert_eq!(merged.edges_promoted, 7 + 14);
-        // The forest-backend work counters are plain sums across shards.
+        // The replacement-search work counters are plain sums across shards.
         assert_eq!(merged.replacement_edges_scanned, 200 + 209 + 218);
         assert_eq!(merged.level_promotions, 6 + 9 + 12);
         assert_eq!(merged.replacement_searches, 40 + 41 + 42);

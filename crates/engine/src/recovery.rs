@@ -88,7 +88,7 @@ impl ClusterService {
     fn rebuild(&mut self, idx: usize) -> Result<(usize, Vec<ServiceError>), ServiceError> {
         let id = self.id_of(idx);
         let journal = &self.journals[idx];
-        let mut engine = ClusteringEngine::with_options(journal.vertices, self.shard_options[idx]);
+        let mut engine = ClusteringEngine::with_options(journal.vertices, self.options);
         engine.set_telemetry(self.telemetry.clone());
         for &(u, v, weight) in &journal.image {
             engine

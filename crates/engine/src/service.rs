@@ -76,14 +76,6 @@ pub enum ConfigError {
         /// The vertex count that was asked for.
         requested: usize,
     },
-    /// A [`ServiceBuilder::shard_msf_backend`] override named a shard index the built
-    /// service will not have.
-    ShardIndexOutOfRange {
-        /// The shard index the override named.
-        shard: usize,
-        /// How many engines the configuration builds (routed shards plus any spill shard).
-        engines: usize,
-    },
     /// A fault spec ([`ServiceBuilder::faults_spec`] or the `DYNSLD_FAULTS` environment
     /// variable) failed to parse; the inner [`FaultSpecError`] names the offending clause.
     BadFaultSpec(FaultSpecError),
@@ -108,11 +100,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::VertexCountOverflow { requested } => write!(
                 f,
                 "vertex count {requested} exceeds the u32-indexed VertexId space"
-            ),
-            ConfigError::ShardIndexOutOfRange { shard, engines } => write!(
-                f,
-                "shard_msf_backend({shard}, ..): the configuration builds {engines} engines \
-                 (routed shards first, spill shard last)"
             ),
             ConfigError::BadFaultSpec(err) => write!(f, "bad fault spec: {err}"),
         }
@@ -588,7 +575,6 @@ pub struct ServiceBuilder {
     partitioner: PartitionerChoice,
     policy: FlushPolicy,
     options: DynSldOptions,
-    shard_backends: Vec<(usize, ForestBackend)>,
     threads: Option<usize>,
     queue_capacity: usize,
     backpressure: Backpressure,
@@ -610,7 +596,6 @@ impl Default for ServiceBuilder {
             partitioner: PartitionerChoice::from_env(),
             policy: FlushPolicy::Manual,
             options: DynSldOptions::default(),
-            shard_backends: Vec::new(),
             threads: None,
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
@@ -684,24 +669,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// The MSF replacement-search backend every shard engine uses (shorthand for setting
-    /// [`DynSldOptions::msf_backend`] through [`options`](Self::options)). Defaults to the
-    /// `DYNSLD_MSF_BACKEND` environment variable via [`DynSldOptions::default`]. Both
-    /// backends are bit-identical in results, so this is purely a performance policy; see
-    /// the `dynsld-msf` crate docs for the trade-off.
+    /// Sets [`DynSldOptions::msf_backend`] (shorthand for [`options`](Self::options)). There
+    /// is one backend, [`ForestBackend::Scan`], so this changes nothing; it stays because the
+    /// frozen benchmark harness (`ledger/`) calls it.
     pub fn msf_backend(mut self, backend: ForestBackend) -> Self {
         self.options.msf_backend = backend;
-        self
-    }
-
-    /// Overrides the MSF replacement-search backend for one shard engine. `shard` indexes
-    /// engines in shard order — routed shards `0..shards`, and on a multi-shard service the
-    /// spill shard last (index `shards`) — the same convention fault rules use. Because the
-    /// backends are bit-identical, shards can mix freely: a deletion-heavy shard can run
-    /// [`ForestBackend::Hdt`] while the rest keep the scan backend. Later overrides for the
-    /// same shard win; out-of-range indices are rejected at [`build`](Self::build) time.
-    pub fn shard_msf_backend(mut self, shard: usize, backend: ForestBackend) -> Self {
-        self.shard_backends.push((shard, backend));
         self
     }
 
@@ -869,32 +841,6 @@ impl ServiceBuilder {
         } else {
             self.num_shards + 1 // + the spill shard
         };
-        if let Some(&(shard, _)) = self
-            .shard_backends
-            .iter()
-            .find(|&&(shard, _)| shard >= num_engines)
-        {
-            return Err(ServiceError::InvalidConfig(
-                ConfigError::ShardIndexOutOfRange {
-                    shard,
-                    engines: num_engines,
-                },
-            ));
-        }
-        // Resolve the per-engine options up front (base options, then per-shard backend
-        // overrides, later overrides winning) and keep them: shard recovery rebuilds an
-        // engine from scratch and must reproduce its exact configuration.
-        let shard_options: Vec<DynSldOptions> = (0..num_engines)
-            .map(|idx| {
-                let mut options = self.options;
-                for &(shard, backend) in &self.shard_backends {
-                    if shard == idx {
-                        options.msf_backend = backend;
-                    }
-                }
-                options
-            })
-            .collect();
         let telemetry = self.telemetry.unwrap_or_else(Telemetry::from_env);
         // An explicit plan wins; then a builder-level spec string; then the environment.
         // Spec strings (from either source) are parsed *here* so a malformed clause is a
@@ -909,7 +855,7 @@ impl ServiceBuilder {
         let durable_dir = self.durable_dir.clone().or_else(env_durable_dir);
         let engines: Vec<ClusteringEngine> = (0..num_engines)
             .map(|idx| {
-                let mut engine = ClusteringEngine::with_options(n, shard_options[idx]);
+                let mut engine = ClusteringEngine::with_options(n, self.options);
                 engine.set_telemetry(telemetry.clone());
                 engine.set_faults(faults.clone(), idx);
                 engine
@@ -949,7 +895,7 @@ impl ServiceBuilder {
             tracked_thresholds: self.tracked_thresholds,
             telemetry,
             vertices: n,
-            shard_options,
+            options: self.options,
             faults,
             panics_caught: 0,
             quarantines: 0,
@@ -1217,9 +1163,9 @@ pub struct ClusterService {
     /// The authoritative vertex count. Tracked at the service level because a quarantined
     /// engine skips growths (they are journaled and applied at recovery) and may lag.
     vertices: usize,
-    /// The per-engine options (parallel to `engines`, per-shard backend overrides resolved),
-    /// kept so recovery can rebuild an engine from scratch with its exact configuration.
-    shard_options: Vec<DynSldOptions>,
+    /// The options every engine is built with, kept so recovery can rebuild an engine from
+    /// scratch with its exact configuration.
+    options: DynSldOptions,
     /// The armed fault plan (disabled by default). Recovered engines are deliberately not
     /// re-armed: a plan describes one deterministic failure script, not a repeating schedule.
     faults: FaultPlan,
@@ -2528,71 +2474,6 @@ mod tests {
         let idle = driver.flush().unwrap();
         assert_eq!(idle.slowest_shard_time(), Duration::ZERO);
         assert_eq!(idle.phase_totals(), FlushPhases::default());
-    }
-
-    #[test]
-    fn per_shard_msf_backend_is_configurable_and_validated() {
-        // An override naming a shard the configuration will not build is rejected whole.
-        let err = ServiceBuilder::new()
-            .vertices(8)
-            .shards(2)
-            .shard_msf_backend(3, ForestBackend::Hdt)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ServiceError::InvalidConfig(ConfigError::ShardIndexOutOfRange {
-                shard: 3,
-                engines: 3
-            })
-        );
-        // Mixed backends — HDT on shard 0, scan on shard 1 and the spill shard — must be
-        // observationally identical to an all-scan service on the same stream; only the work
-        // counters may differ.
-        let build = |mixed: bool| {
-            let mut builder = ServiceBuilder::new()
-                .vertices(8)
-                .shards(2)
-                .partitioner(BlockPartitioner { block_size: 4 })
-                .msf_backend(ForestBackend::Scan);
-            if mixed {
-                builder = builder.shard_msf_backend(0, ForestBackend::Hdt);
-            }
-            builder.build().expect("valid test configuration")
-        };
-        let stream = [
-            ins(0, 1, 1.0),
-            ins(1, 2, 2.0),
-            ins(0, 2, 9.0), // reserve edge on shard 0
-            ins(4, 5, 3.0),
-            ins(1, 5, 4.0), // cross-shard → spill
-            del(0, 1),      // shard-0 tree deletion: the HDT search promotes (0, 2)
-        ];
-        let mut views = Vec::new();
-        for mixed in [false, true] {
-            let svc = build(mixed);
-            let ingest = svc.ingest_handle();
-            for update in stream {
-                ingest.submit(update).unwrap();
-            }
-            let mut driver = FlusherDriver::new(svc);
-            driver.pump().unwrap();
-            driver.flush().unwrap();
-            views.push(driver.service().published());
-        }
-        assert_eq!(views[0].num_graph_edges(), views[1].num_graph_edges());
-        for tau in [0.5, 2.5, 9.5, f64::INFINITY] {
-            assert_eq!(views[0].num_clusters(tau), views[1].num_clusters(tau));
-            for i in 0..8u32 {
-                for j in (i + 1)..8u32 {
-                    assert_eq!(
-                        views[0].same_cluster(VertexId(i), VertexId(j), tau),
-                        views[1].same_cluster(VertexId(i), VertexId(j), tau),
-                        "mixed-backend service diverged on ({i}, {j}) at tau={tau}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! order (`(weight, endpoint pair)` — fully deterministic), and report per-edge [`MsfChange`]s
 //! in *input* order so callers can correlate outcomes with submissions.
 
-use crate::{component_members, pair, DynamicGraphClustering, MsfChange, ReplacementIndex};
+use crate::{component_members, pair, DynamicGraphClustering, MsfChange};
 use dynsld::{DynSld, DynSldError};
 use dynsld_forest::{Dsu, VertexId, Weight};
 use std::collections::HashMap;
@@ -41,10 +41,9 @@ pub struct BatchOutcome {
     /// Wall time spent classifying the batch: the Kruskal-style union-find pass on insert,
     /// and the tree/non-tree split plus replacement-candidate search on delete.
     pub classify_time: Duration,
-    /// The portion of [`classify_time`](Self::classify_time) spent in the forest backend's
-    /// replacement search on deletion batches (candidate gathering/searching plus promotion
-    /// attribution) — a *child* of the classify segment, not an additional one. This is the
-    /// part that [`DynSldOptions::msf_backend`](dynsld::DynSldOptions) changes.
+    /// The portion of [`classify_time`](Self::classify_time) spent in the replacement search
+    /// on deletion batches (candidate gathering plus promotion attribution) — a *child* of
+    /// the classify segment, not an additional one.
     pub replacement_time: Duration,
     /// Wall time spent mutating the structure: `batch_insert`/`batch_delete`, per-edge
     /// fallbacks, promotions, and membership bookkeeping.
@@ -148,7 +147,6 @@ impl DynamicGraphClustering {
             for &(u, v, w) in &forest_batch {
                 self.membership.insert(pair(u, v), true);
                 self.weights.insert(pair(u, v), w);
-                self.index_add_tree(u, v, w);
             }
         }
 
@@ -171,8 +169,7 @@ impl DynamicGraphClustering {
             fallback,
             promoted: Vec::new(),
             classify_time,
-            // Insert batches run no deletion-side replacement search (HDT eviction replays in
-            // the fallback path are accounted to apply_time with the rest of the fallback).
+            // Insert batches run no deletion-side replacement search.
             replacement_time: Duration::ZERO,
             apply_time: apply_start.elapsed(),
         })
@@ -219,7 +216,7 @@ impl DynamicGraphClustering {
             if self.membership[&key] {
                 tree_idx.push(i);
             } else {
-                self.index_remove_nontree(u, v);
+                self.reserve_remove(u, v);
                 self.membership.remove(&key);
                 self.weights.remove(&key);
                 changes[i] = Some(MsfChange::RemovedNonTree);
@@ -254,91 +251,68 @@ impl DynamicGraphClustering {
         }
         apply_time += delete_start.elapsed();
 
-        // ---- replacement search: backend-specific candidate gathering --------------------
+        // ---- replacement search ----------------------------------------------------------
+        // One deterministic Kruskal pass over the reserve edges incident to the affected
+        // components. Affected components are the post-deletion components of the deleted
+        // edges' endpoints. Every reserve edge is intra-tree, so a candidate crossing a cut
+        // connects two affected pieces of the *same original tree*. Per original tree, scan
+        // every piece except the largest (a crossing edge cannot have both endpoints in its
+        // tree's largest piece): this finds every candidate while keeping the scan on the
+        // small sides, as in the per-edge path — skipping only the single global largest would
+        // fully enumerate the big side of every other tree touched by the batch.
         let search_start = Instant::now();
         let mut comps = LocalComponents::default();
         let deleted_locals: Vec<(VertexId, VertexId)> = tree_pairs
             .iter()
             .map(|&(u, v)| (comps.local(&self.sld, u), comps.local(&self.sld, v)))
             .collect();
-        let candidates: Vec<(Weight, (VertexId, VertexId))> = match &mut self.index {
-            // Scan backend: one deterministic Kruskal pass over the reserve edges incident to
-            // the affected components. Affected components are the post-deletion components
-            // of the deleted edges' endpoints. Every reserve edge is intra-tree, so a
-            // candidate crossing a cut connects two affected pieces of the *same original
-            // tree*. Per original tree, scan every piece except the largest (a crossing edge
-            // cannot have both endpoints in its tree's largest piece): this finds every
-            // candidate while keeping the scan on the small sides, as in the per-edge path —
-            // skipping only the single global largest would fully enumerate the big side of
-            // every other tree touched by the batch.
-            ReplacementIndex::Scan { reserve } => {
-                self.counters.replacement_searches += tree_pairs.len() as u64;
-                let mut seeds: Vec<(VertexId, VertexId)> = Vec::new(); // (vertex, local id) per piece
-                {
-                    let mut seen = std::collections::HashSet::new();
-                    for &(u, v) in &tree_pairs {
-                        for x in [u, v] {
-                            let local = comps.local(&self.sld, x);
-                            if seen.insert(local) {
-                                seeds.push((x, local));
-                            }
-                        }
+        self.counters.replacement_searches += tree_pairs.len() as u64;
+        let mut seeds: Vec<(VertexId, VertexId)> = Vec::new(); // (vertex, local id) per piece
+        {
+            let mut seen = std::collections::HashSet::new();
+            for &(u, v) in &tree_pairs {
+                for x in [u, v] {
+                    let local = comps.local(&self.sld, x);
+                    if seen.insert(local) {
+                        seeds.push((x, local));
                     }
                 }
-                // Group the pieces by original tree: the deleted edges connect exactly the
-                // pieces of one original tree (they formed its spanning structure), so a DSU
-                // over the pieces with one union per deleted edge recovers the per-tree
-                // grouping.
-                let mut tree_of_piece = Dsu::new(comps.len());
-                for &(lu, lv) in &deleted_locals {
-                    tree_of_piece.union(lu, lv);
-                }
-                let mut largest_of_tree: HashMap<u32, (usize, u32)> = HashMap::new(); // root -> (size, piece)
-                for &(x, local) in &seeds {
-                    let root = tree_of_piece.find(local).0;
-                    let size = self.sld.component_size(x);
-                    let entry = largest_of_tree.entry(root).or_insert((size, local.0));
-                    if (size, local.0) > *entry {
-                        *entry = (size, local.0);
-                    }
-                }
-                let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
-                let mut candidate_seen = std::collections::HashSet::new();
-                for &(seed, local) in &seeds {
-                    let root = tree_of_piece.find(local).0;
-                    if largest_of_tree[&root].1 == local.0 {
-                        continue; // largest piece of this tree: every candidate is reachable elsewhere
-                    }
-                    for member in component_members(&self.sld, seed) {
-                        for &(a, b) in &reserve[member.index()] {
-                            self.counters.replacement_edges_scanned += 1;
-                            if self.sld.connected(a, b) || !candidate_seen.insert(pair(a, b)) {
-                                continue;
-                            }
-                            candidates.push((self.weights[&pair(a, b)], pair(a, b)));
-                        }
-                    }
-                }
-                candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-                candidates
             }
-            // HDT backend: replay the tree deletions through the level structure in input
-            // order. Each search returns the minimum-(weight, pair) edge across its cut given
-            // the promotions already made, so the union of the results is exactly the set the
-            // scan backend's Kruskal pass accepts (per-edge sequential deletion and the batch
-            // pass produce the same unique MSF under the total order). Sorting the results by
-            // rank makes the shared attribution pass below bit-identical to the scan path.
-            ReplacementIndex::Hdt(ix) => {
-                let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
-                for &(u, v) in &tree_pairs {
-                    if let Some((a, b, w)) = ix.delete_tree_with_search(u, v) {
-                        candidates.push((w, pair(a, b)));
-                    }
-                }
-                candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-                candidates
+        }
+        // Group the pieces by original tree: the deleted edges connect exactly the pieces of
+        // one original tree (they formed its spanning structure), so a DSU over the pieces
+        // with one union per deleted edge recovers the per-tree grouping.
+        let mut tree_of_piece = Dsu::new(comps.len());
+        for &(lu, lv) in &deleted_locals {
+            tree_of_piece.union(lu, lv);
+        }
+        let mut largest_of_tree: HashMap<u32, (usize, u32)> = HashMap::new(); // root -> (size, piece)
+        for &(x, local) in &seeds {
+            let root = tree_of_piece.find(local).0;
+            let size = self.sld.component_size(x);
+            let entry = largest_of_tree.entry(root).or_insert((size, local.0));
+            if (size, local.0) > *entry {
+                *entry = (size, local.0);
             }
-        };
+        }
+        let mut candidates: Vec<(Weight, (VertexId, VertexId))> = Vec::new();
+        let mut candidate_seen = std::collections::HashSet::new();
+        for &(seed, local) in &seeds {
+            let root = tree_of_piece.find(local).0;
+            if largest_of_tree[&root].1 == local.0 {
+                continue; // largest piece of this tree: every candidate is reachable elsewhere
+            }
+            for member in component_members(&self.sld, seed) {
+                for &(a, b) in &self.reserve[member.index()] {
+                    self.counters.replacement_edges_scanned += 1;
+                    if self.sld.connected(a, b) || !candidate_seen.insert(pair(a, b)) {
+                        continue;
+                    }
+                    candidates.push((self.weights[&pair(a, b)], pair(a, b)));
+                }
+            }
+        }
+        candidates.sort_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
 
         // Accept candidates greedily over the local component DSU; attribute each accepted
         // promotion to the deleted edges whose endpoints it (transitively) reconnects.
@@ -383,12 +357,8 @@ impl DynamicGraphClustering {
             self.sld
                 .batch_insert(&promoted)
                 .expect("accepted promotions link distinct components and form a forest");
-            let is_scan = matches!(self.index, ReplacementIndex::Scan { .. });
             for &(a, b, w) in &promoted {
-                if is_scan {
-                    // The HDT searches already moved these edges to tree status internally.
-                    self.index_remove_nontree(a, b);
-                }
+                self.reserve_remove(a, b);
                 self.membership.insert(pair(a, b), true);
                 self.weights.insert(pair(a, b), w);
             }

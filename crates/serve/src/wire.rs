@@ -285,13 +285,13 @@ fn handle_connection(
         }
         // The request never fully arrived; say why and close. Timeouts (slow-loris, a
         // stalled peer) count toward the service's wire_timeouts metric.
-        Err(RequestError::Timeout) => {
+        Err(HeadError::Timeout) => {
             read.record_wire_timeout();
             Reply::plain("408 Request Timeout")
         }
-        Err(RequestError::TooLarge) => Reply::plain("413 Payload Too Large"),
-        Err(RequestError::Malformed) => Reply::plain("400 Bad Request"),
-        Err(RequestError::Io(e)) => return Err(e),
+        Err(HeadError::TooLarge) => Reply::plain("413 Payload Too Large"),
+        Err(HeadError::Malformed) => Reply::plain("400 Bad Request"),
+        Err(HeadError::Io(e)) => return Err(e),
     };
     let mut stream = reader.into_inner();
     write_response(&mut stream, &reply, torn)
@@ -304,36 +304,51 @@ struct Request {
     if_none_match: Option<String>,
 }
 
-/// Why a request head could not be read.
-enum RequestError {
-    /// The read deadline expired mid-request.
+/// Why an HTTP head (a request on the server, a response on the subscriber) could not be
+/// read.
+enum HeadError {
+    /// The read deadline expired mid-head.
     Timeout,
-    /// The request head exceeded [`ServerOptions::max_request_bytes`] (or one line
-    /// exceeded the per-line bound).
+    /// The head exceeded its byte budget (or one line exceeded the per-line bound).
     TooLarge,
-    /// Not the expected HTTP subset (no terminated request line, non-UTF-8 head, …).
+    /// Not the expected HTTP subset (unterminated line, non-UTF-8 head, …).
     Malformed,
     /// Any other socket failure.
     Io(std::io::Error),
 }
 
-impl From<std::io::Error> for RequestError {
+impl From<std::io::Error> for HeadError {
     fn from(e: std::io::Error) -> Self {
         if is_timeout(&e) {
-            RequestError::Timeout
+            HeadError::Timeout
         } else {
-            RequestError::Io(e)
+            HeadError::Io(e)
+        }
+    }
+}
+
+impl From<HeadError> for WireError {
+    fn from(e: HeadError) -> Self {
+        match e {
+            HeadError::Timeout => WireError::Timeout {
+                operation: "response",
+            },
+            HeadError::TooLarge => {
+                WireError::Protocol(format!("response head exceeds {MAX_RESPONSE_HEAD} bytes"))
+            }
+            HeadError::Malformed => WireError::Protocol("malformed response head".into()),
+            HeadError::Io(e) => WireError::Io(e),
         }
     }
 }
 
 /// Reads one `\n`-terminated line of at most `limit` bytes. `Ok(None)` on a cleanly closed
-/// peer; an unterminated line is [`RequestError::TooLarge`] when the bound was hit and
-/// [`RequestError::Malformed`] when the peer closed mid-line.
+/// peer; an unterminated line is [`HeadError::TooLarge`] when the bound was hit and
+/// [`HeadError::Malformed`] when the peer closed mid-line.
 fn read_line_bounded(
     reader: &mut BufReader<TcpStream>,
     limit: usize,
-) -> Result<Option<String>, RequestError> {
+) -> Result<Option<String>, HeadError> {
     let mut buf = Vec::new();
     let n = reader
         .by_ref()
@@ -344,14 +359,14 @@ fn read_line_bounded(
     }
     if buf.last() != Some(&b'\n') {
         return Err(if n > limit {
-            RequestError::TooLarge
+            HeadError::TooLarge
         } else {
-            RequestError::Malformed
+            HeadError::Malformed
         });
     }
     String::from_utf8(buf)
         .map(Some)
-        .map_err(|_| RequestError::Malformed)
+        .map_err(|_| HeadError::Malformed)
 }
 
 /// Upper bound on the request line alone; the full head is bounded by the caller's budget.
@@ -362,7 +377,7 @@ const MAX_REQUEST_LINE: usize = 8 * 1024;
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_request_bytes: usize,
-) -> Result<Option<Request>, RequestError> {
+) -> Result<Option<Request>, HeadError> {
     let Some(line) = read_line_bounded(reader, MAX_REQUEST_LINE.min(max_request_bytes))? else {
         return Ok(None);
     };
@@ -370,10 +385,10 @@ fn read_request(
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return Err(RequestError::Malformed);
+        return Err(HeadError::Malformed);
     };
     if !version.starts_with("HTTP/") {
-        return Err(RequestError::Malformed);
+        return Err(HeadError::Malformed);
     }
     let method = method.to_string();
     let (path, query) = match target.split_once('?') {
@@ -392,7 +407,7 @@ fn read_request(
                 if_none_match = Some(value.trim().to_string());
             }
         } else {
-            return Err(RequestError::Malformed);
+            return Err(HeadError::Malformed);
         }
     }
     Ok(Some(Request {
@@ -574,6 +589,13 @@ pub struct WireStats {
     pub timeouts: u64,
 }
 
+/// Upper bound on a response head (status line plus headers) read by the subscriber.
+const MAX_RESPONSE_HEAD: usize = 16 * 1024;
+
+/// Most body bytes the subscriber reserves before any arrive; a larger body grows the
+/// buffer as it is read, so a lying `Content-Length` costs no memory.
+const BODY_PREALLOC: usize = 64 * 1024;
+
 fn fetch(
     addr: SocketAddr,
     path: &str,
@@ -612,10 +634,12 @@ fn fetch(
         .map_err(classify("request"))?;
     reader.get_mut().flush().map_err(classify("request"))?;
 
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(classify("response"))?;
+    // The head is bounded like a request head; the body is read as it arrives (below), so
+    // no reply can make the subscriber allocate more than it was actually sent.
+    let mut budget = MAX_RESPONSE_HEAD;
+    let status_line = read_line_bounded(&mut reader, budget)?
+        .ok_or_else(|| WireError::Protocol("connection closed before the status line".into()))?;
+    budget = budget.saturating_sub(status_line.len());
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -626,14 +650,9 @@ fn fetch(
     let mut revision = None;
     let mut sync_mode = None;
     loop {
-        let mut header = String::new();
-        if reader
-            .read_line(&mut header)
-            .map_err(classify("response"))?
-            == 0
-        {
-            return Err(WireError::Protocol("connection closed mid-headers".into()));
-        }
+        let header = read_line_bounded(&mut reader, budget)?
+            .ok_or_else(|| WireError::Protocol("connection closed mid-headers".into()))?;
+        budget = budget.saturating_sub(header.len());
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -654,8 +673,16 @@ fn fetch(
             sync_mode = Some(value.to_string());
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(classify("response"))?;
+    let mut body = Vec::with_capacity(content_length.min(BODY_PREALLOC));
+    let read = reader
+        .take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(classify("response"))?;
+    if read < content_length {
+        return Err(WireError::Protocol(format!(
+            "body ended after {read} of {content_length} bytes"
+        )));
+    }
     Ok(Response {
         status,
         etag,
@@ -1052,6 +1079,66 @@ mod tests {
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.clusters, b.clusters);
         server.shutdown();
+    }
+
+    /// A raw listener that answers one connection per entry of `replies` with those exact
+    /// bytes (after reading the request head), then closes it.
+    fn scripted_server(replies: Vec<Vec<u8>>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let handle = std::thread::spawn(move || {
+            for reply in replies {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                while reader.read_line(&mut line).expect("request") > 2 {
+                    line.clear();
+                }
+                // The subscriber may hang up mid-reply (oversize head); that is its right.
+                let _ = reader.get_mut().write_all(&reply);
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn subscriber_rejects_lying_or_oversize_replies_without_trusting_them() {
+        let huge = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc".to_vec();
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc".to_vec();
+        let mut oversize_head = b"HTTP/1.1 200 OK\r\nX-Pad: ".to_vec();
+        oversize_head.resize(oversize_head.len() + MAX_RESPONSE_HEAD, b'a');
+        oversize_head.extend_from_slice(b"\r\n\r\n");
+        let replies = vec![huge.clone(), short, oversize_head, huge.clone(), huge];
+        let (addr, server) = scripted_server(replies);
+        let mut subscriber = WireSubscriber::connect_with(
+            addr,
+            WireConfig {
+                max_attempts: 2,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..WireConfig::default()
+            },
+        )
+        .expect("resolve");
+        for expected in [
+            "body ended after 3 of 18446744073709551615 bytes",
+            "body ended after 3 of 10 bytes",
+            "response head exceeds",
+        ] {
+            match subscriber.sync_once() {
+                Err(WireError::Protocol(m)) => assert!(m.starts_with(expected), "{m}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        // The retry loop sees an error on every attempt, never a panic.
+        match subscriber.sync() {
+            Err(WireError::RetriesExhausted { attempts: 2, last }) => {
+                assert!(matches!(*last, WireError::Protocol(_)), "{last:?}");
+            }
+            other => panic!("expected RetriesExhausted, got {other:?}"),
+        }
+        assert!(subscriber.mirror().is_none());
+        server.join().expect("scripted server");
     }
 
     #[test]

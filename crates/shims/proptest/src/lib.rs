@@ -7,10 +7,12 @@
 //! `prop_assert*` macros — and runs each property as a deterministic seeded
 //! random search (`cases` iterations). Failing cases panic with the usual
 //! assertion message; there is **no shrinking**, so a failure reports the raw
-//! generated value (the `Debug` form is printed by the panic payload of the
-//! inner assertion).
+//! generated inputs instead: the property name, the case index and the `Debug`
+//! form of every binding go to stderr (so, as upstream, each generated value
+//! must implement `Debug`).
 
 use rand::rngs::SmallRng;
+use std::io::Write;
 
 pub mod test_runner {
     //! Runner configuration and RNG, mirroring `proptest::test_runner`.
@@ -313,7 +315,25 @@ macro_rules! proptest {
     };
 }
 
-/// Implementation detail of [`proptest!`].
+/// Implementation detail of [`proptest!`]: prints `describe()` if dropped while the
+/// thread panics, i.e. when a case's body fails.
+#[doc(hidden)]
+pub struct FailureReport<F: FnMut() -> String> {
+    /// Formats the failing case.
+    pub describe: F,
+}
+
+impl<F: FnMut() -> String> Drop for FailureReport<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // `eprintln!` panics if stderr fails, and a second panic here would abort.
+            let _ = writeln!(std::io::stderr(), "{}", (self.describe)());
+        }
+    }
+}
+
+/// Implementation detail of [`proptest!`]. A failing case's inputs are re-drawn from a
+/// copy of the RNG taken before the case, so passing cases format nothing.
 #[macro_export]
 #[doc(hidden)]
 macro_rules! __proptest_items {
@@ -324,11 +344,32 @@ macro_rules! __proptest_items {
                 let config: $crate::ProptestConfig = $config;
                 let mut rng = $crate::test_runner::deterministic_rng();
                 for case in 0..config.cases {
+                    let case_rng = rng.clone();
                     $(
                         let $binding =
                             $crate::strategy::Strategy::new_value(&($strat), &mut rng);
                     )+
-                    let _ = case;
+                    let _report = $crate::FailureReport {
+                        describe: || {
+                            let mut rng = case_rng.clone();
+                            let mut out = format!(
+                                "proptest: {} failed at case {} of {}; inputs:",
+                                stringify!($name),
+                                case,
+                                config.cases
+                            );
+                            $(
+                                let value =
+                                    $crate::strategy::Strategy::new_value(&($strat), &mut rng);
+                                out.push_str(&format!(
+                                    "\n  {} = {:?}",
+                                    stringify!($binding),
+                                    value
+                                ));
+                            )+
+                            out
+                        },
+                    };
                     $body
                 }
             }
@@ -352,6 +393,23 @@ mod tests {
             assert!((1..4).contains(&v.len()));
             assert!(v.iter().all(|&(x, _)| x < n));
         }
+    }
+
+    #[test]
+    fn failure_report_describes_only_a_panicking_case() {
+        let described = std::cell::Cell::new(0);
+        let describe = || {
+            described.set(described.get() + 1);
+            "case inputs".to_string()
+        };
+        drop(crate::FailureReport { describe });
+        assert_eq!(described.get(), 0, "a passing case formats nothing");
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _report = crate::FailureReport { describe };
+            panic!("the case's assertion failed");
+        }));
+        assert!(failed.is_err());
+        assert_eq!(described.get(), 1, "a failing case is described once");
     }
 
     proptest! {

@@ -3,10 +3,9 @@
 //! record — must lose nothing that was durable and invent nothing that was not. The pin:
 //! rebuild the service from the same directory and its published view is **bit-identical**
 //! (canonical labels AND sorted member lists) to a no-crash oracle fed exactly the durable
-//! prefix of the stream, across shard counts × flush policies × partitioners × MSF
-//! backends, with vertex growth journaled mid-stream.
+//! prefix of the stream, across shard counts × flush policies × partitioners, with vertex
+//! growth journaled mid-stream.
 
-use dynsld::ForestBackend;
 use dynsld_engine::{
     ClusterService, FaultPlan, FlushPolicy, FlusherDriver, GraphUpdate, GreedyPartitioner,
     HashPartitioner, ServiceBuilder, ServiceSnapshot,
@@ -97,7 +96,7 @@ proptest! {
     /// corrupting a checkpoint write (with and without an older valid checkpoint to fall
     /// back to) — recovers on rebuild to exactly the state of a no-crash oracle fed the
     /// durable prefix `ops[..records_durable]`, across shards × flush policies ×
-    /// partitioners × MSF backends.
+    /// partitioners.
     #[test]
     fn crash_anywhere_recovers_bit_identical_to_the_durable_prefix_oracle(
         seed in 0u64..1 << 48,
@@ -106,7 +105,6 @@ proptest! {
         num_ops in 16usize..80,
         policy_pick in 0usize..3,
         greedy in any::<bool>(),
-        hdt in any::<bool>(),
         crash_mode in 0usize..4,
         crash_at in 1u64..48,
         growth in 0usize..3,
@@ -133,7 +131,6 @@ proptest! {
                 .vertices(n)
                 .shards(shards)
                 .flush_policy(policy)
-                .msf_backend(if hdt { ForestBackend::Hdt } else { ForestBackend::Scan })
                 .checkpoint_every_records(checkpoint_every);
             if let Some(dir) = durable {
                 builder = builder.durable(dir);
